@@ -2,9 +2,6 @@
 
 #include "inference/ProfileInference.h"
 
-#include "inference/MinCostFlow.h"
-#include "ir/CFG.h"
-
 #include <algorithm>
 #include <map>
 
@@ -14,41 +11,40 @@ namespace {
 constexpr int64_t InfCap = int64_t(1) << 40;
 } // namespace
 
-/// Cheap fallback for very large functions where MCF would be slow:
-/// propagate counts along the CFG in reverse post order and derive edge
-/// weights proportionally from successor counts.
-static void localSmooth(Function &F) {
-  auto RPO = reversePostOrder(F);
-  auto Preds = computePredecessors(F);
-  for (BasicBlock *B : RPO) {
-    uint64_t In = 0;
-    for (BasicBlock *P : Preds[B]) {
-      auto Succs = P->successors();
-      for (unsigned S = 0; S != Succs.size(); ++S)
-        if (Succs[S] == B)
-          In += P->succWeight(S);
-    }
-    if (B != F.getEntry())
-      B->setCount(std::max(B->HasCount ? B->Count : 0, In));
-    else if (!B->HasCount)
-      B->setCount(In);
-    // Distribute the block count over successors proportionally to the
-    // successors' raw counts.
-    auto Succs = B->successors();
-    if (Succs.empty())
-      continue;
-    uint64_t Total = 0;
-    for (BasicBlock *S : Succs)
-      Total += S->HasCount ? S->Count : 0;
-    B->SuccWeights.clear();
-    for (BasicBlock *S : Succs) {
-      uint64_t W = Total ? static_cast<uint64_t>(
-                               static_cast<double>(B->Count) *
-                               (S->HasCount ? S->Count : 0) / Total)
-                         : B->Count / Succs.size();
-      B->SuccWeights.push_back(W);
-    }
+MinCostFlowSolver buildInferenceNetwork(const Function &F,
+                                        const InferenceOptions &Opts) {
+  MinCostFlowSolver Solver;
+  size_t N = F.Blocks.size();
+  std::vector<std::pair<const BasicBlock *, int>> InNode(N);
+  for (size_t I = 0; I != N; ++I) {
+    Solver.addNode();
+    Solver.addNode();
+    InNode[I] = {F.Blocks[I].get(), 2 * static_cast<int>(I)};
   }
+  std::sort(InNode.begin(), InNode.end());
+
+  // Block arcs: reward matching the measured count, penalize exceeding it.
+  for (size_t I = 0; I != N; ++I) {
+    const BasicBlock *B = F.Blocks[I].get();
+    int In = 2 * static_cast<int>(I), Out = In + 1;
+    uint64_t W = B->HasCount ? B->Count : 0;
+    if (W > 0)
+      Solver.addEdge(In, Out, static_cast<int64_t>(W), -Opts.MatchReward);
+    Solver.addEdge(In, Out, InfCap,
+                   W > 0 ? Opts.ExceedPenalty : Opts.UnknownPenalty);
+  }
+
+  // CFG arcs, then the circulation closure: exits feed back into the entry.
+  for (size_t I = 0; I != N; ++I)
+    for (const BasicBlock *S : F.Blocks[I]->successors()) {
+      auto It = std::lower_bound(InNode.begin(), InNode.end(),
+                                 std::make_pair(S, 0));
+      Solver.addEdge(2 * static_cast<int>(I) + 1, It->second, InfCap, 0);
+    }
+  for (size_t I = 0; I != N; ++I)
+    if (F.Blocks[I]->numSuccessors() == 0)
+      Solver.addEdge(2 * static_cast<int>(I) + 1, 0, InfCap, 0);
+  return Solver;
 }
 
 void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
@@ -58,69 +54,22 @@ void inferFunctionProfile(Function &F, const InferenceOptions &Opts) {
   if (!Any || F.Blocks.empty())
     return;
 
-  if (F.Blocks.size() > 600) {
-    localSmooth(F);
-    return;
-  }
-
-  MinCostFlowSolver Solver;
-  // Two nodes per block: in (2i) and out (2i+1).
-  std::map<BasicBlock *, int> Index;
-  for (auto &BB : F.Blocks) {
-    int In = Solver.addNode();
-    Solver.addNode();
-    Index[BB.get()] = In;
-  }
-
-  // Block arcs: reward matching the measured count, penalize exceeding it.
-  std::vector<int> MatchEdge(F.Blocks.size(), -1);
-  std::vector<int> ExtraEdge(F.Blocks.size(), -1);
-  for (size_t I = 0; I != F.Blocks.size(); ++I) {
-    BasicBlock *B = F.Blocks[I].get();
-    int In = Index[B], Out = In + 1;
-    uint64_t W = B->HasCount ? B->Count : 0;
-    if (W > 0) {
-      MatchEdge[I] =
-          Solver.addEdge(In, Out, static_cast<int64_t>(W), -Opts.MatchReward);
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.ExceedPenalty);
-    } else {
-      ExtraEdge[I] = Solver.addEdge(In, Out, InfCap, Opts.UnknownPenalty);
-    }
-  }
-
-  // CFG arcs.
-  std::map<std::pair<BasicBlock *, unsigned>, int> CFGEdge;
-  for (auto &BB : F.Blocks) {
-    auto Succs = BB->successors();
-    for (unsigned S = 0; S != Succs.size(); ++S) {
-      int Id = Solver.addEdge(Index[BB.get()] + 1, Index[Succs[S]], InfCap, 0);
-      CFGEdge[{BB.get(), S}] = Id;
-    }
-  }
-
-  // Circulation closure: exits feed back into the entry.
-  int EntryIn = Index[F.getEntry()];
-  for (auto &BB : F.Blocks)
-    if (BB->numSuccessors() == 0)
-      Solver.addEdge(Index[BB.get()] + 1, EntryIn, InfCap, 0);
-
+  MinCostFlowSolver Solver = buildInferenceNetwork(F, Opts);
   Solver.solve();
 
-  // Read the inferred profile back.
-  for (size_t I = 0; I != F.Blocks.size(); ++I) {
-    BasicBlock *B = F.Blocks[I].get();
-    int64_t Flow = 0;
-    if (MatchEdge[I] >= 0)
-      Flow += Solver.flowOn(MatchEdge[I]);
-    if (ExtraEdge[I] >= 0)
-      Flow += Solver.flowOn(ExtraEdge[I]);
-    B->setCount(static_cast<uint64_t>(Flow < 0 ? 0 : Flow));
-    B->SuccWeights.clear();
-    unsigned NumSucc = B->numSuccessors();
-    for (unsigned S = 0; S != NumSucc; ++S) {
-      int64_t EFlow = Solver.flowOn(CFGEdge.at({B, S}));
-      B->SuccWeights.push_back(static_cast<uint64_t>(EFlow < 0 ? 0 : EFlow));
-    }
+  // Read the inferred profile back, walking the edge ids in the order
+  // buildInferenceNetwork added them.
+  int Id = 0;
+  for (auto &BB : F.Blocks) {
+    int64_t Flow = Solver.flowOn(Id++);
+    if (BB->HasCount && BB->Count > 0) // A counted block has two arcs.
+      Flow += Solver.flowOn(Id++);
+    BB->setCount(static_cast<uint64_t>(Flow));
+  }
+  for (auto &BB : F.Blocks) {
+    BB->SuccWeights.clear();
+    for (unsigned S = 0, NS = BB->numSuccessors(); S != NS; ++S)
+      BB->SuccWeights.push_back(static_cast<uint64_t>(Solver.flowOn(Id++)));
   }
 }
 

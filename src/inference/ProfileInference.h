@@ -18,6 +18,7 @@
 #ifndef CSSPGO_INFERENCE_PROFILEINFERENCE_H
 #define CSSPGO_INFERENCE_PROFILEINFERENCE_H
 
+#include "inference/MinCostFlow.h"
 #include "ir/Module.h"
 
 namespace csspgo {
@@ -35,6 +36,15 @@ struct InferenceOptions {
 /// SuccWeights. Blocks without annotation participate with weight 0 and
 /// may receive inferred flow. No-op when no block has a count.
 void inferFunctionProfile(Function &F, const InferenceOptions &Opts = {});
+
+/// The min-cost circulation network inferFunctionProfile solves for \p F,
+/// unsolved. Block i has in-node 2i and out-node 2i+1. Edge ids run over
+/// each block's arcs in block order (a match arc for counted blocks, then
+/// an extra arc), then each block's CFG arcs in successor order, then the
+/// exit-to-entry arcs. Exposed so tests can check the solver on the
+/// networks real functions produce.
+MinCostFlowSolver buildInferenceNetwork(const Function &F,
+                                        const InferenceOptions &Opts = {});
 
 /// Runs inference over every function of \p M.
 void inferModuleProfile(Module &M, const InferenceOptions &Opts = {});

@@ -3,7 +3,8 @@
 // Golden-output tests for the documented CLI surface: the `--help` text
 // of every subcommand is pinned verbatim, so any change to the surface
 // (flags, operands, semantics) must update the goldens consciously. Plus
-// unit tests for the shared flag parser every subcommand goes through.
+// unit tests for the shared flag parser every subcommand goes through,
+// and end-to-end checks that run the built binary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -318,6 +321,7 @@ TEST(CLIFlags, GlobalFlagsStripUniformly) {
   EXPECT_EQ(G.Parallelism, 4u);
   EXPECT_EQ(G.Transport, ProfileTransport::BinaryLazy);
   EXPECT_EQ(G.DecayPermille, 700u);
+  EXPECT_TRUE(G.DecayGiven);
   EXPECT_EQ(G.EpochTimestamp, 42u);
   EXPECT_TRUE(G.CompactNames);
   EXPECT_TRUE(G.JSON);
@@ -434,4 +438,59 @@ TEST(CLIFlags, FindSubcommandAndMinOperands) {
   ASSERT_NE(Train, nullptr);
   EXPECT_EQ(Train->MinOperands, 0);
   EXPECT_TRUE(Train->LocalFlags); // train parses --releases etc. itself.
+}
+
+//===----------------------------------------------------------------------===//
+// The built binary, end to end.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs the csspgo_exp binary with \p Args; returns its standard output.
+std::string runExp(const std::string &Args) {
+  std::string Out;
+  FILE *P = ::popen((std::string(CSSPGO_EXP_PATH) + " " + Args).c_str(), "r");
+  if (!P)
+    return Out;
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    Out.append(Buf, N);
+  EXPECT_EQ(::pclose(P), 0) << Args;
+  return Out;
+}
+
+/// Every value of the JSON field \p Key in \p Text, in order.
+std::vector<unsigned long long> jsonValues(const std::string &Text,
+                                           const std::string &Key) {
+  std::vector<unsigned long long> Values;
+  std::string Needle = "\"" + Key + "\":";
+  for (size_t Pos = Text.find(Needle); Pos != std::string::npos;
+       Pos = Text.find(Needle, Pos + 1))
+    Values.push_back(std::strtoull(Text.c_str() + Pos + Needle.size(),
+                                   nullptr, 10));
+  return Values;
+}
+
+} // namespace
+
+TEST(CLIServe, DecayDefaultsToTheServicesOwn) {
+  // Without --decay the service folds with its own decay (900), not the
+  // store-ingest default of 1000 (plain merge): every store then holds
+  // fewer samples than its service ingested.
+  std::string Out = runExp("serve --exit-after-drain --json --hosts 4 "
+                           "--services 2 --epochs 3");
+  std::vector<unsigned long long> Ingested =
+      jsonValues(Out, "samples_ingested");
+  std::vector<unsigned long long> Stored = jsonValues(Out, "store_samples");
+  ASSERT_EQ(Ingested.size(), 2u) << Out;
+  ASSERT_EQ(Stored.size(), 2u) << Out;
+  for (size_t I = 0; I != Ingested.size(); ++I)
+    EXPECT_LT(Stored[I], Ingested[I]) << "service " << I;
+
+  // An explicit --decay 1000 still asks for a plain merge.
+  std::string Plain = runExp("serve --exit-after-drain --json --hosts 4 "
+                             "--services 2 --epochs 3 --decay 1000");
+  EXPECT_EQ(jsonValues(Plain, "store_samples"),
+            jsonValues(Plain, "samples_ingested"))
+      << Plain;
 }

@@ -204,6 +204,7 @@ bool parseGlobalFlags(int &argc, char **argv, GlobalOptions &G,
       if (!parseUnsigned(argv[++I], N) || N > 1000)
         return badValue("--decay");
       G.DecayPermille = static_cast<unsigned>(N);
+      G.DecayGiven = true;
     } else if (takesValue("--timestamp")) {
       if (!parseUnsigned(argv[++I], N))
         return badValue("--timestamp");

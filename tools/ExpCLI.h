@@ -39,6 +39,9 @@ struct GlobalOptions {
   bool CompactNames = false;
   /// --decay: ingest decay permille (1000 = plain merge).
   unsigned DecayPermille = 1000;
+  /// --decay was given. serve, fleet and train fold with their library's
+  /// own decay unless it was.
+  bool DecayGiven = false;
   /// --timestamp: ingest epoch timestamp.
   unsigned long long EpochTimestamp = 0;
   /// --json: machine-readable stats/dashboard output.

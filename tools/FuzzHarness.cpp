@@ -1,10 +1,14 @@
 //===- tools/FuzzHarness.cpp - Differential profile-pipeline fuzzing ------===//
 
 #include "FuzzHarness.h"
+#include "ReferenceMinCostFlow.h"
 
+#include "inference/ProfileInference.h"
+#include "loader/ProfileLoader.h"
 #include "matcher/StaleMatcher.h"
 #include "pgo/BuildPipeline.h"
 #include "postlink/BinaryCFG.h"
+#include "probe/ProbeInserter.h"
 #include "profgen/ProfileGenerator.h"
 #include "profile/ProfileIO.h"
 #include "profile/ProfileMerge.h"
@@ -740,6 +744,52 @@ bool fuzzOne(uint64_t Seed, std::string &Err) {
         }
       }
     }
+  }
+
+  // --- 12. Inference solver vs the cycle-canceling reference -----------
+  // Every network inference solves for this module (the CS and AutoFDO
+  // profiles correlated onto pristine IR, then the CS counts with random
+  // noise under random cost weights) must come out a feasible circulation
+  // of the reference solver's optimal cost.
+  {
+    LoaderOptions NoInline;
+    NoInline.ReplayInlining = false;
+    NoInline.InlineHotContexts = false;
+    NoInline.MaxInlineSize = 0;
+    auto CSMod = Source->clone();
+    insertProbes(*CSMod, AnchorKind::PseudoProbe);
+    loadContextProfile(*CSMod, CSRes.CS, NoInline);
+    auto AFMod = Source->clone();
+    loadFlatProfile(*AFMod, AFRes.Flat, /*IsInstr=*/false, NoInline);
+
+    auto CrossCheck = [&](const Module &M, const InferenceOptions &IO,
+                          const char *What) {
+      for (const auto &F : M.Functions) {
+        if (F->Blocks.empty())
+          continue;
+        std::string E = crossCheckMinCostFlow(buildInferenceNetwork(*F, IO));
+        if (!E.empty()) {
+          Err = std::string("inference solver (") + What + ", " +
+                F->getName() + "): " + E;
+          return false;
+        }
+      }
+      return true;
+    };
+    if (!CrossCheck(*CSMod, {}, "CS profile") ||
+        !CrossCheck(*AFMod, {}, "AutoFDO profile"))
+      return false;
+
+    for (auto &F : CSMod->Functions)
+      for (auto &BB : F->Blocks)
+        if (R.nextBool(0.3))
+          BB->setCount(R.nextBelow(5000));
+    InferenceOptions Weights;
+    Weights.MatchReward = R.nextInRange(1, 4);
+    Weights.ExceedPenalty = R.nextInRange(1, 4);
+    Weights.UnknownPenalty = R.nextInRange(1, 4);
+    if (!CrossCheck(*CSMod, Weights, "noisy CS counts"))
+      return false;
   }
 
   return true;

@@ -26,7 +26,9 @@
 ///  - truncated profile text either fails to parse or parses to a profile
 ///    that is still self-consistent;
 ///  - stale-profile matching after a random CFG drift lands recovered
-///    counts only on anchors that exist in the fresh IR.
+///    counts only on anchors that exist in the fresh IR;
+///  - the inference networks of the module (and of noisy counts on it)
+///    solve to the optimal cost of the cycle-canceling reference solver.
 ///
 /// Iteration seeds are derived as Base + I * golden-ratio so a reported
 /// failure reproduces in isolation with `csspgo_exp fuzz 1 <seed>`.

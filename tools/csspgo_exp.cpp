@@ -796,7 +796,8 @@ int runService(int argc, char **argv, bool ExitAfterDrain) {
   SC.Fleet.RequestScale = static_cast<double>(ScalePermille) / 1000.0;
   SC.Shards = G.Parallelism;
   SC.QueueBound = static_cast<size_t>(QueueBound);
-  SC.DecayPermille = G.DecayPermille;
+  if (G.DecayGiven)
+    SC.DecayPermille = G.DecayPermille;
   SC.CompactNames = G.CompactNames;
   SC.DriftEveryEpochs = static_cast<unsigned>(DriftEvery);
 
@@ -864,8 +865,9 @@ int cmdTrain(int argc, char **argv) {
   TC.PostLink = PostLink;
   TC.Jobs = std::max(1u, G.Parallelism);
   // The global --decay default (1000, plain merge) is an ingest-command
-  // default; the train's store folds default to the library's 500.
-  if (G.DecayPermille != 1000)
+  // default; the train's store folds keep the library's 500 unless
+  // --decay is given.
+  if (G.DecayGiven)
     TC.DecayPermille = G.DecayPermille;
 
   train::TrainResult R = runTrain(TC);
